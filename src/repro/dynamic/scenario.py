@@ -99,7 +99,7 @@ class DynamicScenario:
         """One measured resident join (MATCH-charged TM matching).
 
         The measured/predicted pair is recorded with the re-seed
-        manager, feeding the cost-crossover signal.
+        manager, feeding the tracker's cost-gap signal.
         """
         ws = self.workspace
         before = ws.metrics.summary().match_read

@@ -258,7 +258,7 @@ def _parallel_join(
     join_trace: JoinTrace | None,
     data_r: DataFile | None,
     sanitize: bool | None,
-    parallel_guard: bool | None,
+    parallel_guard: bool,
     parallel_start_method: str | None,
     method_options: dict,
 ) -> JoinResult:
@@ -295,7 +295,7 @@ def spatial_join(
     workers: int | None = None,
     partitions: int | None = None,
     parallel_seed: int = 0,
-    parallel_guard: bool | None = None,
+    parallel_guard: bool = True,
     parallel_start_method: str | None = None,
     sanitize: bool | None = None,
     **method_options,
@@ -333,15 +333,16 @@ def spatial_join(
     single-substrate sequential path, byte-identical to before.
     ``parallel_seed`` feeds the stable per-partition seed derivation.
 
-    Parallel runs default to the **persistent worker pool**
+    Parallel runs use the **persistent worker pool**
     (:mod:`repro.parallel`): inputs are published once into
     shared-memory columns and workers stay warm across joins on the
-    same data — ``REPRO_POOL=0`` restores the legacy per-join pool.
-    ``parallel_guard`` controls the planner guard, which predicts the
-    elapsed speedup from a deterministic cost model and falls back to
-    in-process execution when parallelism would lose (``None`` defers
-    to ``REPRO_PARALLEL_GUARD``, default on); the decision lands on
-    ``result.parallel_decision``. ``parallel_start_method`` pins the
+    same data. A join the pool cannot run — a single productive tile,
+    or inputs it cannot publish (oids beyond int64) — runs in-process
+    instead. ``parallel_guard`` (default on) enables the planner guard,
+    which predicts the elapsed speedup from a deterministic cost model
+    and also runs in-process when parallelism would lose. The decision
+    and its reason land on ``result.parallel_decision``.
+    ``parallel_start_method`` pins the
     multiprocessing start method (default: ``REPRO_POOL_START_METHOD``,
     else fork where available, else the platform default).
 

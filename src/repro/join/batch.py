@@ -44,11 +44,9 @@ __all__ = [
 
 
 def batch_traversal_available() -> bool:
-    """Whether the batch path *can* run: live numpy backend required.
-
-    (``HAVE_NUMPY`` is not enough — ``REPRO_KERNELS_BACKEND=python``
-    pins the kernels to list columns, and the plan builders are numpy
-    only.) The runtime toggles are checked separately by callers.
+    """Whether the batch path *can* run: the plan builders are numpy
+    only, so numpy must be importable. The runtime toggles are checked
+    separately by callers.
     """
     return np is not None
 
@@ -63,7 +61,7 @@ def column_tree_of(tree: Any) -> ColumnTree:
     The version stamp is ``(tree.mutations, tree.root_id)``: every
     mutating lane bumps ``mutations`` (R-tree insert/delete, retained
     seeded-tree insert/delete — the dynamic-update maintenance path —
-    and seeded construction's graft/cleanup), and root replacement
+    and seeded construction's cleanup), and root replacement
     covers the root-split/collapse edge. Building reads nodes through
     the unaccounted peek path (`iter_nodes`), so a snapshot never
     perturbs the cost model.

@@ -16,12 +16,13 @@ class ParallelDecision:
     ``predicted_speedup`` is the planner guard's deterministic
     entry-unit estimate of elapsed speedup versus a sequential run
     (``None`` when the guard never modelled the join — single worker,
-    single tile, or empty input). When the prediction lands below 1.0
-    the guard falls back to in-process execution: ``effective_workers``
-    drops to 1 while ``requested_workers`` keeps the caller's ask, and
-    ``reason`` says why. ``pooled`` records whether the persistent
-    worker pool actually ran the join (as opposed to the legacy
-    per-join pool or the in-process path).
+    single tile, empty input, or a plan the pool cannot run). When the
+    prediction lands below 1.0 the guard falls back to in-process
+    execution: ``effective_workers`` drops to 1 while
+    ``requested_workers`` keeps the caller's ask, and ``reason`` says
+    why. ``pooled`` records whether the persistent
+    worker pool actually ran the join (as opposed to the in-process
+    path).
     """
 
     requested_workers: int
@@ -69,8 +70,8 @@ class JoinResult:
 
     ``parallel_decision`` is likewise parallel-only: the
     :class:`ParallelDecision` recording what the planner guard
-    predicted and which execution mode (pooled, legacy pool, or
-    in-process fallback) actually ran.
+    predicted and which execution mode (pooled or in-process) actually
+    ran.
     """
 
     pairs: list[JoinPair] = field(default_factory=list)

@@ -1,11 +1,10 @@
 """Backend selection and the runtime kernel toggle.
 
 The array backend is chosen **once at import time**: numpy when it is
-importable, else the stdlib ``array('d')`` fallback. The choice can be
-forced with ``REPRO_KERNELS_BACKEND=numpy|python`` (read once, at
-import) — the bench harness uses the explicit ``backend=`` parameter of
-:class:`~repro.kernels.rect_array.RectArray` instead, so it can compare
-both backends inside one process.
+importable, else the stdlib ``array('d')`` fallback. The micro bench
+and the parity tests compare both backends inside one process through
+the explicit ``backend=`` parameter of
+:class:`~repro.kernels.rect_array.RectArray`.
 
 Whether call sites *use* the kernels at all is a separate, per-call
 decision: :func:`kernels_enabled` reads the ``REPRO_KERNELS``
@@ -27,28 +26,12 @@ try:  # pragma: no cover - exercised implicitly by every import
 except ImportError:  # pragma: no cover - numpy is present in CI images
     _numpy = None  # type: ignore[assignment]
 
-_FORCED = os.environ.get("REPRO_KERNELS_BACKEND", "").strip().lower()
-if _FORCED == "python":
-    np: Any = None
-elif _FORCED == "numpy":
-    if _numpy is None:  # pragma: no cover - misconfiguration guard
-        raise ImportError(
-            "REPRO_KERNELS_BACKEND=numpy requested but numpy is not importable"
-        )
-    np = _numpy
-else:
-    np = _numpy
+np: Any = _numpy
 
-HAVE_NUMPY = _numpy is not None
+HAVE_NUMPY = np is not None
 
 #: The backend selected at import time: ``"numpy"`` or ``"python"``.
 BACKEND = "numpy" if np is not None else "python"
-
-#: Whether ``REPRO_KERNELS_BACKEND`` pinned the backend explicitly. A
-#: pinned backend disables the small-array heuristic of
-#: :class:`~repro.kernels.rect_array.RectArray`, so e2e runs can force
-#: numpy columns even at node fanout for testing.
-FORCED_BACKEND = _FORCED in ("python", "numpy")
 
 _DISABLED_VALUES = ("0", "false", "no", "off")
 

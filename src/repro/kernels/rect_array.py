@@ -33,10 +33,9 @@ kernel exceeds the whole scalar scan (an R-tree node at the paper's
 page sizes holds a few dozen entries), while the list-column loops in
 :mod:`repro.kernels.batch` still beat the scalar path by skipping the
 per-entry attribute and method dispatch. The heuristic applies only to
-the default backend: an explicit ``backend=`` argument or a pinned
-``REPRO_KERNELS_BACKEND`` always gets the representation it asked for,
-which is what the perf harness uses to benchmark both representations
-in a single process.
+the default backend: an explicit ``backend=`` argument always gets the
+representation it asked for, which is what the perf harness uses to
+benchmark both representations in a single process.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..errors import GeometryError
 from ..geometry.rect import Rect
-from .backend import BACKEND, FORCED_BACKEND, np
+from .backend import BACKEND, np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..rtree.node import Entry
@@ -72,11 +71,10 @@ def _pick_numpy(backend: str | None, n: int) -> bool:
     """Backend decision for ``n`` rectangles.
 
     Explicit requests are honoured verbatim; the default backend takes
-    numpy only for arrays big enough to amortise the per-call overhead
-    (always, when ``REPRO_KERNELS_BACKEND`` pinned it).
+    numpy only for arrays big enough to amortise the per-call overhead.
     """
     if backend is None and np is not None:
-        return FORCED_BACKEND or n >= NUMPY_MIN_N
+        return n >= NUMPY_MIN_N
     return _use_numpy(backend)
 
 

@@ -164,7 +164,7 @@ class DynamicJoinMachine(RuleBasedStateMachine):
     def reseed(self, policy):
         self.manager.policy = (
             AlwaysRebuild() if policy == "rebuild"
-            else StalenessThreshold(incremental_at=0.05, rebuild_at=1e6)
+            else StalenessThreshold(rebuild_at=0.05)
         )
         self.manager.evaluate()
         self.manager.policy = NeverReseed()

@@ -32,7 +32,6 @@ from repro.kernels import (
     quadratic_split_indices,
     sweep_pairs_batch,
 )
-from repro.kernels.backend import FORCED_BACKEND
 from repro.metrics.counters import CpuCounters
 from repro.rtree.node import Entry
 from repro.rtree.split import check_split, quadratic_split
@@ -274,8 +273,6 @@ class TestRectArray:
         """Without an explicit backend, node-sized arrays use list
         columns — numpy's fixed per-call overhead dominates at fanout
         sizes (the NUMPY_MIN_N heuristic)."""
-        if FORCED_BACKEND:
-            pytest.skip("REPRO_KERNELS_BACKEND pins the backend")
         small = RectArray.from_rects([Rect(0, 0, 1, 1)] * 4)
         assert not small.is_numpy
         big = RectArray.from_rects([Rect(0, 0, 1, 1)] * NUMPY_MIN_N)

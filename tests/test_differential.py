@@ -315,7 +315,7 @@ def test_pooled_batch_on_off_bit_identical(monkeypatch) -> None:
 
 
 # --------------------------------------------------------------------- #
-# Pooled mode vs sequential (and vs the legacy per-join pool)
+# Pooled mode vs sequential
 # --------------------------------------------------------------------- #
 
 
@@ -352,27 +352,6 @@ def test_pooled_equals_sequential(method: str, seed: int) -> None:
     for field in SUMMARY_FIELDS:
         assert getattr(merged, field) == getattr(summed, field), (
             f"{field}: merged collector disagrees with partition sum"
-        )
-
-
-def test_pooled_equals_legacy_pool(monkeypatch) -> None:
-    """The pooled route and the legacy per-join pool produce identical
-    pairs and identical merged counters on the same inputs."""
-    pooled, pooled_summary, _ws1 = _run_routed(
-        "STJ", 2, workers=2, partitions=4, parallel_seed=2,
-        parallel_guard=False,
-    )
-    monkeypatch.setenv("REPRO_POOL", "0")
-    legacy, legacy_summary, _ws2 = _run_routed(
-        "STJ", 2, workers=2, partitions=4, parallel_seed=2,
-        parallel_guard=False,
-    )
-    assert pooled.parallel_decision.pooled
-    assert not legacy.parallel_decision.pooled
-    assert pooled.pair_set() == legacy.pair_set()
-    for field in SUMMARY_FIELDS:
-        assert getattr(pooled_summary, field) == getattr(
-            legacy_summary, field
         )
 
 
