@@ -36,6 +36,7 @@ from ..metrics import MetricsCollector
 from .result import JoinPair
 
 __all__ = [
+    "BatchRefused",
     "batch_traversal_available",
     "column_tree_of",
     "match_trees_batch",
@@ -49,6 +50,15 @@ def batch_traversal_available() -> bool:
     separately by callers.
     """
     return np is not None
+
+
+class BatchRefused(Exception):
+    """The batch path cannot take this input; the message says why.
+
+    Raised before the batch path makes any accounted operation, so the
+    caller runs the per-node path — the one ``REPRO_BATCH=0`` selects —
+    with the same pairs and costs it would have had from the start.
+    """
 
 
 # --------------------------------------------------------------------- #
@@ -65,6 +75,9 @@ def column_tree_of(tree: Any) -> ColumnTree:
     covers the root-split/collapse edge. Building reads nodes through
     the unaccounted peek path (`iter_nodes`), so a snapshot never
     perturbs the cost model.
+
+    The snapshot holds refs as int64. A tree with an object id outside
+    that range raises :class:`BatchRefused`.
     """
     key = (tree.mutations, tree.root_id)
     cached = getattr(tree, "_column_tree", None)
@@ -82,7 +95,12 @@ def column_tree_of(tree: Any) -> ColumnTree:
             [e.mbr.xhi for e in entries],
             [e.mbr.yhi for e in entries],
         ))
-    snapshot = ColumnTree.build(records, tree.root_id, stamp=key)
+    try:
+        snapshot = ColumnTree.build(records, tree.root_id, stamp=key)
+    except OverflowError:
+        raise BatchRefused(
+            "an object id does not fit the int64 ref column"
+        ) from None
     tree._column_tree = snapshot
     return snapshot
 
@@ -165,14 +183,17 @@ def match_trees_batch(
     ``finally`` chain is the scalar ``_match``'s, so a storage fault
     unwinds the pins identically; recursion depth is the forest depth
     (bounded by the two tree heights), same as the scalar matcher.
+
+    The snapshots are taken (unaccounted) before the root reads, so a
+    :class:`BatchRefused` leaves the buffer and counters untouched.
     """
+    ct_a = column_tree_of(tree_a)
+    ct_b = column_tree_of(tree_b)
     root_a = tree_a.read_node(tree_a.root_id)
     root_b = tree_b.read_node(tree_b.root_id)
     if not root_a.entries or not root_b.entries:
         return []
-    prep = _prepared_match_of(
-        tree_a, tree_b, column_tree_of(tree_a), column_tree_of(tree_b)
-    )
+    prep = _prepared_match_of(tree_a, tree_b, ct_a, ct_b)
 
     cpu = metrics.cpu if metrics is not None else None
     fetch_a = tree_a.buffer.fetch
@@ -270,10 +291,11 @@ def window_join_batch(data_s: Any, tree_r: Any) -> list[JoinPair]:
     batch then descends the columnar snapshot level-synchronously. The
     lowered plan is cached on the tree, keyed by snapshot identity and
     query-batch content, so a resident service probing the same run
-    against the same tree pays only the accounted replay.
+    against the same tree pays only the accounted replay. The snapshot
+    comes first, so a :class:`BatchRefused` precedes the scan.
     """
-    rows = list(data_s.scan())
     ct = column_tree_of(tree_r)
+    rows = list(data_s.scan())
     nq = len(rows)
     qxlo = np.empty(nq)
     qylo = np.empty(nq)
@@ -287,8 +309,10 @@ def window_join_batch(data_s: Any, tree_r: Any) -> list[JoinPair]:
         qxhi[i] = rect.xhi
         qyhi[i] = rect.yhi
         add_oid(oid_s)
+    # The oids key as a tuple: they are emitted as Python ints and never
+    # enter a column, so any int is a valid query id.
     qkey = (
-        nq, zlib.crc32(np.asarray(oids, dtype=np.int64).tobytes()),
+        tuple(oids),
         zlib.crc32(qxlo.tobytes()), zlib.crc32(qylo.tobytes()),
         zlib.crc32(qxhi.tobytes()), zlib.crc32(qyhi.tobytes()),
     )

@@ -21,7 +21,7 @@ from ..metrics import MetricsCollector, Phase
 from ..metrics.tracing import JoinTrace
 from ..rtree import RTree
 from ..storage import DataFile
-from .batch import batch_traversal_available, window_join_batch
+from .batch import BatchRefused, batch_traversal_available, window_join_batch
 from .engine import ExecutionContext, JoinPhase, JoinPipeline
 from .result import JoinResult
 
@@ -34,8 +34,11 @@ def _match(ctx: ExecutionContext) -> None:
         # All window queries descend the columnar snapshot together;
         # the replay fetches the same pages in the same order and emits
         # identical pairs (see repro.join.batch).
-        ctx.state["pairs"] = window_join_batch(ctx.data_s, ctx.tree_r)
-        return
+        try:
+            ctx.state["pairs"] = window_join_batch(ctx.data_s, ctx.tree_r)
+            return
+        except BatchRefused as refused:
+            ctx.state["batch_refused"] = str(refused)
     pairs = []
     for rect, oid_s in ctx.data_s.scan():
         for oid_r in ctx.tree_r.window_query(rect, use_kernels):

@@ -310,6 +310,7 @@ class JoinPipeline:
             index=ctx.state.get("index"),
             algorithm=self.algorithm,
             phase_walls=ctx.state.get("phase_walls", {}),
+            batch_refused=ctx.state.get("batch_refused", ""),
         )
         result.trace = ctx.trace
         return result
@@ -364,6 +365,7 @@ class _PartitionOutcome:
     degraded: bool = False
     trace_roots: list[TraceSpan] | None = None
     trace_origin: float = 0.0
+    batch_refused: str = ""
 
 
 def _adapt_method(task: _PartitionTask, tree_height: int
@@ -476,6 +478,7 @@ def join_on_substrate(
         wall_s=wall_s,
         setup_s=substrate.setup_s,
         degraded=result.degraded,
+        batch_refused=result.batch_refused,
         trace_roots=result.trace.roots if result.trace is not None else None,
         trace_origin=(
             result.trace.origin if result.trace is not None else 0.0
@@ -917,6 +920,7 @@ class ParallelExecutor:
         stats: list[PartitionStats] = []
         pairs: list[tuple[int, int]] = []
         degraded = False
+        batch_refused = ""
         # Reconciliation invariant, checked under the sanitizer: the
         # parent's counters after absorbing every partition equal the
         # counter-wise sum of the per-partition snapshots — same fold
@@ -932,6 +936,7 @@ class ParallelExecutor:
                 expected = expected.merged_with(outcome.snapshot)
             pairs.extend(outcome.pairs)
             degraded = degraded or outcome.degraded
+            batch_refused = batch_refused or outcome.batch_refused
             stats.append(PartitionStats(
                 index=outcome.index,
                 tile=tiles[outcome.index].rect.as_tuple(),
@@ -958,6 +963,7 @@ class ParallelExecutor:
         pairs.sort()
         result = JoinResult(
             pairs=pairs, index=None, algorithm=self.label,
+            batch_refused=batch_refused,
         )
         result.partitions = stats
         result.trace = trace

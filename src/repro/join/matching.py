@@ -43,7 +43,7 @@ from ..kernels import (
 )
 from ..metrics import MetricsCollector
 from ..rtree.node import Node
-from .batch import batch_traversal_available, match_trees_batch
+from .batch import BatchRefused, batch_traversal_available, match_trees_batch
 from .result import JoinPair
 
 #: Entry -> MBR adapter, hoisted out of the per-pair sweep calls.
@@ -54,6 +54,7 @@ def match_trees(
     tree_a: Any,
     tree_b: Any,
     metrics: MetricsCollector | None = None,
+    state: dict[str, Any] | None = None,
 ) -> list[JoinPair]:
     """All (ref_a, ref_b) pairs of overlapping objects in the two trees.
 
@@ -68,11 +69,17 @@ def match_trees(
     columnar snapshots and replayed through the buffer —
     :func:`~repro.join.batch.match_trees_batch` — with bit-identical
     pairs, counters and I/O. ``REPRO_KERNELS=0`` or ``REPRO_BATCH=0``
-    restores the scalar recursion below.
+    restores the scalar recursion below, and so does an input the batch
+    path refuses (an object id beyond int64); the refusal's reason is
+    written to ``state["batch_refused"]`` when a ``state`` is given.
     """
     if (kernels_enabled() and batch_enabled()
             and batch_traversal_available()):
-        return match_trees_batch(tree_a, tree_b, metrics)
+        try:
+            return match_trees_batch(tree_a, tree_b, metrics)
+        except BatchRefused as refused:
+            if state is not None:
+                state["batch_refused"] = str(refused)
     matcher = _TreeMatcher(tree_a, tree_b, metrics)
     return matcher.run()
 

@@ -72,6 +72,10 @@ class JoinResult:
     :class:`ParallelDecision` recording what the planner guard
     predicted and which execution mode (pooled or in-process) actually
     ran.
+
+    ``batch_refused`` says why the batch traversal could not take this
+    input and the per-node path ran instead (an object id beyond int64,
+    for one); it is empty when the batch path ran or was switched off.
     """
 
     pairs: list[JoinPair] = field(default_factory=list)
@@ -84,6 +88,7 @@ class JoinResult:
     phase_walls: dict[str, float] = field(default_factory=dict)
     partitions: list[Any] | None = None
     parallel_decision: ParallelDecision | None = None
+    batch_refused: str = ""
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -70,7 +70,7 @@ def _load_resume(ctx: ExecutionContext, checkpointer: Any) -> Any:
 
 def _match(ctx: ExecutionContext) -> None:
     ctx.state["pairs"] = match_trees(
-        ctx.state["index"], ctx.tree_r, ctx.metrics
+        ctx.state["index"], ctx.tree_r, ctx.metrics, state=ctx.state
     )
 
 

@@ -120,7 +120,7 @@ def _construct(ctx: ExecutionContext) -> None:
 
 def _match(ctx: ExecutionContext) -> None:
     ctx.state["pairs"] = match_trees(
-        ctx.state["tree_a"], ctx.state["tree_b"], ctx.metrics
+        ctx.state["tree_a"], ctx.state["tree_b"], ctx.metrics, state=ctx.state
     )
 
 

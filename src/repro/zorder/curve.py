@@ -17,6 +17,7 @@ benchmark.
 
 from __future__ import annotations
 
+from math import ceil, floor
 from typing import NamedTuple
 
 from ..errors import GeometryError
@@ -30,6 +31,13 @@ _Z_BITS = 2 * RESOLUTION
 
 #: The map area the curve addresses (the paper's unit square).
 MAP = Rect(0.0, 0.0, 1.0, 1.0)
+
+#: Grid cells per map side.
+_GRID = 1 << RESOLUTION
+
+#: One grid unit of the map: the dilation that keeps closed rectangles
+#: touching after decomposition.
+_UNIT = 1.0 / _GRID
 
 
 def _spread(v: int) -> int:
@@ -87,41 +95,13 @@ class ZElement(NamedTuple):
         return RESOLUTION - (span.bit_length() - 1) // 2
 
 
-class _Cell(NamedTuple):
-    x: int          # grid x of the cell origin, in full-resolution units
-    y: int
-    depth: int
-
-    def rect(self, map_area: Rect) -> Rect:
-        size = 1 << (RESOLUTION - self.depth)
-        scale_x = map_area.width / (1 << RESOLUTION)
-        scale_y = map_area.height / (1 << RESOLUTION)
-        return Rect(
-            map_area.xlo + self.x * scale_x,
-            map_area.ylo + self.y * scale_y,
-            map_area.xlo + (self.x + size) * scale_x,
-            map_area.ylo + (self.y + size) * scale_y,
-        )
-
-    def element(self) -> ZElement:
-        zlo = interleave(self.x, self.y)
-        span = 1 << (2 * (RESOLUTION - self.depth))
-        return ZElement(zlo, zlo + span - 1)
-
-    def children(self):
-        half = 1 << (RESOLUTION - self.depth - 1)
-        d = self.depth + 1
-        yield _Cell(self.x, self.y, d)
-        yield _Cell(self.x + half, self.y, d)
-        yield _Cell(self.x, self.y + half, d)
-        yield _Cell(self.x + half, self.y + half, d)
+def _element(x: int, y: int, depth: int) -> ZElement:
+    """The z-interval of the depth-``depth`` cell with origin ``(x, y)``."""
+    zlo = interleave(x, y)
+    return ZElement(zlo, zlo + (1 << (2 * (RESOLUTION - depth))) - 1)
 
 
-def decompose(
-    rect: Rect,
-    max_elements: int = 4,
-    map_area: Rect = MAP,
-) -> list[ZElement]:
+def decompose(rect: Rect, max_elements: int = 4) -> list[ZElement]:
     """Cover ``rect`` with at most ``max_elements`` quadtree cells.
 
     Budgeted refinement: starting from the root cell, repeatedly split
@@ -137,46 +117,61 @@ def decompose(
     z-intervals and the merge would miss their candidate pair. The exact
     bounding-box test after the merge removes the extra candidates the
     dilation admits.
+
+    Cells are plain integers: a cell's edges sit at ``k / 2**16`` on the
+    unit map, and both those edges and a coordinate scaled by ``2**16``
+    are exact in binary floating point. So "edge ``k`` lies at or below
+    ``hi``" is ``k <= floor(hi * 2**16)`` and "edge ``k`` lies at or
+    above ``lo``" is ``k >= ceil(lo * 2**16)``: four integer bounds per
+    rectangle decide every closed-rectangle test the refinement makes,
+    with the same outcome as comparing the cells' float rectangles.
     """
     if max_elements < 1:
         raise GeometryError("max_elements must be at least 1")
-    eps_x = map_area.width / (1 << RESOLUTION)
-    eps_y = map_area.height / (1 << RESOLUTION)
     dilated = Rect(
-        rect.xlo - eps_x, rect.ylo - eps_y,
-        rect.xhi + eps_x, rect.yhi + eps_y,
+        rect.xlo - _UNIT, rect.ylo - _UNIT,
+        rect.xhi + _UNIT, rect.yhi + _UNIT,
     )
-    clipped = dilated.intersection(map_area)
+    clipped = dilated.intersection(MAP)
     if clipped is None:
         return []
+    xlo = ceil(clipped.xlo * _GRID)
+    ylo = ceil(clipped.ylo * _GRID)
+    xhi = floor(clipped.xhi * _GRID)
+    yhi = floor(clipped.yhi * _GRID)
 
-    root = _Cell(0, 0, 0)
-    done: list[_Cell] = []      # cells fully inside the rectangle
-    partial: list[_Cell] = []
-    if clipped.contains(root.rect(map_area)):
-        done.append(root)
+    done: list[tuple[int, int, int]] = []    # cells fully inside
+    # Partial cells, first in first out: children are one level deeper
+    # than their parent, so the queue stays ordered by depth and its
+    # head is always a shallowest partial cell (the largest overhang).
+    partial: list[tuple[int, int, int]] = []
+    head = 0
+    if xlo <= 0 and ylo <= 0 and _GRID <= xhi and _GRID <= yhi:
+        done.append((0, 0, 0))
     else:
-        partial.append(root)
+        partial.append((0, 0, 0))
 
-    while partial:
-        # Refine the shallowest partial cell first (largest overhang).
-        partial.sort(key=lambda c: c.depth)
-        cell = partial[0]
-        if cell.depth >= RESOLUTION:
+    while head < len(partial):
+        x, y, depth = partial[head]
+        if depth >= RESOLUTION:
             break
+        depth += 1
+        half = 1 << (RESOLUTION - depth)
+        # Children in z order (SW, SE, NW, NE) that meet the rectangle.
         survivors = [
-            child for child in cell.children()
-            if child.rect(map_area).intersects(clipped)
+            (cx, cy)
+            for cy in (y, y + half) if cy <= yhi and cy + half >= ylo
+            for cx in (x, x + half) if cx <= xhi and cx + half >= xlo
         ]
-        if len(done) + len(partial) - 1 + len(survivors) > max_elements:
+        if len(done) + len(partial) - head - 1 + len(survivors) > max_elements:
             break
-        partial.pop(0)
-        for child in survivors:
-            if clipped.contains(child.rect(map_area)):
-                done.append(child)
+        head += 1
+        for cx, cy in survivors:
+            if xlo <= cx and cx + half <= xhi and ylo <= cy and cy + half <= yhi:
+                done.append((cx, cy, depth))
             else:
-                partial.append(child)
+                partial.append((cx, cy, depth))
 
-    elements = [c.element() for c in done + partial]
+    elements = [_element(*cell) for cell in done + partial[head:]]
     elements.sort()
     return elements

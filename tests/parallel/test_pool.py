@@ -112,9 +112,9 @@ def test_unpublishable_oids_run_in_process():
     """Oids beyond int64 cannot go into shared columns: the pool refuses
     the publish and the join runs in-process, with the same answer.
 
-    NAIVE, because the tree methods' batch traversal stores oids as
-    int64 too and cannot run such a join even sequentially (see
-    ROADMAP)."""
+    The tree methods run such joins too, on the per-node path (see
+    tests/join/test_wide_oids.py); NAIVE keeps this test about the
+    pool's routing alone."""
     ws = Workspace(CFG)
     d_r = generate_clustered(ClusteredConfig(
         420, cover_quotient=2.0, objects_per_cluster=10, seed=41,

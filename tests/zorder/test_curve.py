@@ -1,7 +1,7 @@
 """Tests for the Z curve and quadtree decomposition."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeometryError
@@ -10,11 +10,12 @@ from repro.zorder.curve import (
     MAP,
     RESOLUTION,
     ZElement,
-    _Cell,
     decompose,
     interleave,
     z_point,
 )
+
+from .reference import Cell, reference_decompose
 
 
 class TestInterleave:
@@ -65,24 +66,24 @@ class TestZPoint:
 
 class TestZElement:
     def test_root_cell(self):
-        root = _Cell(0, 0, 0).element()
+        root = Cell(0, 0, 0).element()
         assert root == ZElement(0, (1 << (2 * RESOLUTION)) - 1)
         assert root.depth == 0
 
     def test_child_nesting(self):
-        root = _Cell(0, 0, 0)
+        root = Cell(0, 0, 0)
         for child in root.children():
             assert root.element().contains(child.element())
             assert child.element().depth == 1
 
     def test_sibling_intervals_disjoint_and_ordered(self):
-        intervals = [c.element() for c in _Cell(0, 0, 0).children()]
+        intervals = [c.element() for c in Cell(0, 0, 0).children()]
         for a, b in zip(intervals, intervals[1:]):
             assert a.zhi + 1 == b.zlo
 
     def test_overlap_is_containment(self):
-        root = _Cell(0, 0, 0).element()
-        child = next(_Cell(0, 0, 0).children()).element()
+        root = Cell(0, 0, 0).element()
+        child = next(Cell(0, 0, 0).children()).element()
         assert root.overlaps(child)
         assert child.overlaps(root)
         other = ZElement(child.zhi + 1, child.zhi + 4)
@@ -160,3 +161,86 @@ def test_touching_rects_share_an_element_overlap(x, y, w, h):
     a = decompose(left, max_elements=16)
     b = decompose(right, max_elements=16)
     assert any(ea.overlaps(eb) for ea in a for eb in b)
+
+
+# --------------------------------------------------------------------- #
+# Equivalence with the float-geometry reference
+# --------------------------------------------------------------------- #
+
+_UNIT = 1.0 / (1 << RESOLUTION)
+
+
+def _grid_coord():
+    """Map coordinates chosen to sit on, beside, or away from cell edges.
+
+    Cell edges are multiples of ``2**-16``; the one-unit dilation moves
+    a rectangle's sides by exactly one such step, so coordinates on an
+    edge, one unit off it, and one ulp off it all land on or next to the
+    boundary cases the integer bounds must decide like the float tests.
+    """
+    on_edge = st.integers(-3, (1 << RESOLUTION) + 3).map(lambda k: k * _UNIT)
+    coarse = st.integers(-8, 24).map(lambda k: k / 16.0)
+    nudged = st.tuples(on_edge, st.sampled_from([-1, 1])).map(
+        lambda p: p[0] + p[1] * 2.0 ** -40
+    )
+    anywhere = st.floats(-0.5, 1.5, allow_nan=False)
+    special = st.sampled_from([0.0, 1.0, -_UNIT, 1.0 + _UNIT, 5e-324,
+                               1.0 - 2.0 ** -53, 2.0, -1.0])
+    return st.one_of(on_edge, coarse, nudged, anywhere, special)
+
+
+@st.composite
+def _map_rects(draw) -> Rect:
+    """Rectangles on grid lines, touching cell edges, degenerate,
+    straddling the map border, wholly outside it, or covering it."""
+    shape = draw(st.sampled_from(["free", "point", "hline", "small"]))
+    x1, y1 = draw(_grid_coord()), draw(_grid_coord())
+    if shape == "point":
+        return Rect.point(x1, y1)
+    if shape == "small":
+        w = draw(st.integers(0, 64)) * _UNIT
+        h = draw(st.integers(0, 64)) * _UNIT
+        return Rect(x1, y1, x1 + w, y1 + h)
+    x2 = draw(_grid_coord())
+    y2 = y1 if shape == "hline" else draw(_grid_coord())
+    return Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_map_rects(), st.integers(1, 64))
+@example(MAP, 1)
+@example(MAP, 64)
+@example(Rect(-1.0, -1.0, 2.0, 2.0), 4)
+@example(Rect(5.0, 5.0, 6.0, 6.0), 4)
+@example(Rect(1.0 + 2 * _UNIT, 0.0, 2.0, 1.0), 4)
+@example(Rect(1.0 + _UNIT, 0.0, 2.0, 1.0), 4)
+@example(Rect(0.5, 0.5, 0.5, 0.5), 16)
+@example(Rect(0.25, 0.25, 0.75, 0.75), 16)
+@example(Rect(0.5 - _UNIT, 0.0, 0.5 + _UNIT, 1.0), 64)
+def test_decompose_matches_float_reference(rect, budget):
+    """The integer-cell refinement emits the reference's elements,
+    element for element."""
+    assert decompose(rect, budget) == reference_decompose(rect, budget)
+
+
+def test_decompose_builds_no_rect_per_cell(monkeypatch):
+    """Only the dilated and the clipped rectangle are materialised,
+    however deep the refinement goes; the float reference, which builds
+    one ``Rect`` per examined quadrant, is what this guards against."""
+    built = []
+    original = Rect.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(Rect, "__init__", counting_init)
+    for side in (2.0 ** -2, 2.0 ** -8, 2.0 ** -14, 0.0):
+        rect = Rect(0.3, 0.3, 0.3 + side, 0.3 + side)
+        built.clear()
+        elements = decompose(rect, max_elements=4)
+        assert elements
+        assert len(built) <= 2, (side, len(built))
+        built.clear()
+        assert reference_decompose(rect, max_elements=4) == elements
+        assert len(built) > 2 * RESOLUTION  # the counter does see them
